@@ -6,7 +6,7 @@ export PYTHONPATH := src:.
 help:
 	@echo "Targets:"
 	@echo "  test             tier-1 test suite (pytest -x -q)"
-	@echo "  verify           tier-1 tests + lint + strategy/parallel smoke benches + fuzz/fault smoke"
+	@echo "  verify           tier-1 tests + lint + smoke benches + fuzz/fault smoke + perfbench self-tests"
 	@echo "  fuzz             differential fuzzer long mode (slow-marked soak tests)"
 	@echo "  fuzz-faults      fault-injection suites: recovery paths + fault-injecting fuzz arm"
 	@echo "  fuzz-cross       cross-target corpus: one shape lowered to all four targets, cross-checked"
@@ -16,7 +16,7 @@ help:
 	@echo "  bench-solver     solver benchmark + ablation (BENCH_solver.json)"
 	@echo "  bench-strategies strategy benchmark + invariance (BENCH_strategies.json)"
 	@echo "  bench-parallel   parallel-exploration benchmark + determinism (BENCH_parallel.json)"
-	@echo "  bench-interp     compiled-vs-interpreted benchmark (BENCH_interp.json)"
+	@echo "  bench-interp     engine throughput + concrete fast-lane rate (BENCH_interp.json)"
 	@echo "  bench-memory     memory-model action dispatch benchmark (BENCH_memory.json)"
 	@echo "  bench-service    analysis-service burst/replay/crash-storm benchmark (BENCH_service.json)"
 	@echo "  bench-summaries  compositional-execution benchmark + identity grid (BENCH_summaries.json)"
@@ -40,6 +40,7 @@ verify: test lint
 	$(PYTHON) -m pytest -x -q tests/engine/test_fuzz_differential.py tests/engine/test_fuzz_summaries.py -m "not slow"
 	$(MAKE) fuzz-faults
 	$(MAKE) fuzz-cross
+	$(PYTHON) -m pytest -q perfbench/test_perfbench.py
 
 fuzz:
 	$(PYTHON) -m pytest -q tests/engine/test_fuzz_differential.py -m slow

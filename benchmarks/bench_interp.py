@@ -1,25 +1,16 @@
-"""Interpreter benchmark: compiled step closures vs the tree walker.
+"""Interpreter benchmark: engine throughput and the concrete fast lane.
 
 Runs the Table 1 (Buckets-style MiniJS) and Table 2 (Collections-C-style
-MiniC) symbolic-testing workloads through both execution pipelines in
-the same process — the tree-walking interpreter
-(:func:`repro.gil.semantics.step`) and the compiled per-procedure step
-closures (:mod:`repro.gil.compile`) — and reports:
+MiniC) symbolic-testing workloads through the engine and reports:
 
-* throughput per arm (paths/sec and commands/sec over engine wall time);
-* the compiled arm's **concrete fast-lane hit rate** (share of executed
-  commands decided by the specialized concrete evaluator, never touching
-  ``logic/``);
-* the compiled-vs-interpreted **speedup**, measured from the same run;
-* a **finals identity check**: both arms must finish the same number of
-  paths on every suite (the full bit-identical multiset comparison lives
-  in the differential fuzz suite; this is the cheap tripwire).
+* throughput (paths/sec and commands/sec over engine wall time);
+* the **concrete fast-lane hit rate**: the share of executed commands
+  decided by the concrete evaluator
+  (:func:`repro.gil.semantics.fast_lane`), never touching ``logic/``.
 
-Both arms are measured *warm*: a first untimed pass populates the
-per-program compile tables (cached on the ``Prog``) and the simplifier
-memos, so the numbers reflect the steady-state hot path rather than
-one-shot lowering cost.  The arms then alternate per repeat to spread
-machine noise evenly.
+The run is measured *warm*: a first untimed pass populates the
+simplifier memos and the solver caches, so the numbers reflect the
+steady-state hot path.
 
 Emits ``BENCH_interp.json`` next to the repository root.  ``--smoke``
 runs a reduced workload (first two suites per table, one repeat) and is
@@ -34,7 +25,6 @@ Run with::
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from typing import Dict, List
@@ -53,7 +43,7 @@ OUT_PATH = os.path.join(
     "BENCH_interp.json",
 )
 
-#: paths/sec the *compiled* arm must sustain on the smoke workload for
+#: paths/sec the engine must sustain on the smoke workload for
 #: ``--gate`` to pass.  Deliberately far below typical throughput
 #: (hundreds of paths/sec on an idle machine): the gate is a tripwire
 #: for order-of-magnitude regressions — an accidentally quadratic hot
@@ -64,65 +54,23 @@ SMOKE_PATHS_PER_SEC_FLOOR = 40.0
 FULL_REPEATS = 3
 
 
-def compiled_workloads(smoke: bool) -> List[tuple]:
-    """(language, suite name, prog, tests) with each program compiled
-    exactly once — the per-``Prog`` compile tables and the lazy command
-    lowering they hold must persist across arms and repeats for the
-    measurement to see the steady state."""
-    return [
-        (language, name, language.compile(source), tests)
-        for language, name, source, tests in workloads(smoke)
-    ]
-
-
-def run_arm(compiled: bool, suites: List[tuple]) -> Dict:
-    """One measured pass of every workload suite under one pipeline."""
-    config = gillian(compiled=compiled)
-    agg = {
-        "paths": 0,
-        "commands": 0,
-        "fast_lane_steps": 0,
-        "wall_time": 0.0,
-        "suites": {},
-    }
+def run_pass(suites: List[tuple]) -> Dict:
+    """One pass of every workload suite: counts and engine wall time."""
+    config = gillian()
+    agg = {"paths": 0, "commands": 0, "fast_lane_steps": 0, "wall_time": 0.0}
+    suite_paths = {}
     for language, name, prog, tests in suites:
         tester = SymbolicTester(language, config=config, replay=False)
-        suite_paths = 0
+        suite_paths[name] = 0
         for test in tests:
             stats = tester.run_test(prog, test).stats
             agg["paths"] += stats.paths_finished
             agg["commands"] += stats.commands_executed
             agg["fast_lane_steps"] += stats.fast_lane_steps
             agg["wall_time"] += stats.wall_time
-            suite_paths += stats.paths_finished
-        agg["suites"][name] = suite_paths
+            suite_paths[name] += stats.paths_finished
+    agg["suites"] = suite_paths
     return agg
-
-
-def merge(runs: List[Dict]) -> Dict:
-    """Fold repeated passes of one arm into a single report block."""
-    total = {
-        "paths": runs[0]["paths"],
-        "commands": runs[0]["commands"],
-        "fast_lane_steps": runs[0]["fast_lane_steps"],
-        "wall_time": sum(r["wall_time"] for r in runs),
-        "repeats": len(runs),
-        "suites": runs[0]["suites"],
-    }
-    elapsed = total["wall_time"] / len(runs)
-    total["paths_per_sec"] = (
-        round(total["paths"] / elapsed, 1) if elapsed else 0.0
-    )
-    total["commands_per_sec"] = (
-        round(total["commands"] / elapsed, 1) if elapsed else 0.0
-    )
-    total["fast_lane_rate"] = (
-        round(total["fast_lane_steps"] / total["commands"], 4)
-        if total["commands"]
-        else 0.0
-    )
-    total["wall_time"] = round(total["wall_time"], 4)
-    return total
 
 
 def main(argv: List[str]) -> int:
@@ -132,47 +80,35 @@ def main(argv: List[str]) -> int:
     repeats = 1 if smoke else FULL_REPEATS
     print(f"== bench_interp ({mode}) ==")
 
-    suites = compiled_workloads(smoke)
-    # Warm both pipelines untimed: populates the per-Prog compile tables
-    # and simplifier memos so the measured passes see the steady state.
-    for compiled in (False, True):
-        run_arm(compiled, suites)
-
-    runs: Dict[str, List[Dict]] = {"interpreted": [], "compiled": []}
-    for _ in range(repeats):
-        runs["interpreted"].append(run_arm(False, suites))
-        runs["compiled"].append(run_arm(True, suites))
-
-    interp = merge(runs["interpreted"])
-    comp = merge(runs["compiled"])
-    for label, arm in (("interpreted", interp), ("compiled", comp)):
-        print(
-            f"{label:12s} paths/sec={arm['paths_per_sec']:8.1f} "
-            f"commands/sec={arm['commands_per_sec']:10.1f} "
-            f"fast-lane={arm['fast_lane_rate']:.1%}"
-        )
-
-    speedup = (
-        interp["wall_time"] / comp["wall_time"] if comp["wall_time"] else 0.0
+    suites = [
+        (language, name, language.compile(source), tests)
+        for language, name, source, tests in workloads(smoke)
+    ]
+    run_pass(suites)  # warm-up, untimed
+    passes = [run_pass(suites) for _ in range(repeats)]
+    # Counts are deterministic; only the wall time varies per pass.
+    result = dict(passes[0], repeats=repeats)
+    result["wall_time"] = round(sum(p["wall_time"] for p in passes), 4)
+    elapsed = result["wall_time"] / repeats
+    result["paths_per_sec"] = round(result["paths"] / elapsed, 1)
+    result["commands_per_sec"] = round(result["commands"] / elapsed, 1)
+    result["fast_lane_rate"] = round(
+        result["fast_lane_steps"] / result["commands"], 4
     )
-    identical = interp["suites"] == comp["suites"] and (
-        interp["commands"] == comp["commands"]
+    print(
+        f"paths/sec={result['paths_per_sec']:8.1f} "
+        f"commands/sec={result['commands_per_sec']:10.1f} "
+        f"fast-lane={result['fast_lane_rate']:.1%}"
     )
-    if not identical:
-        print("!! compiled arm finished different paths/commands per suite")
-    floor_met = comp["paths_per_sec"] >= SMOKE_PATHS_PER_SEC_FLOOR
-    print(f"compiled-vs-interpreted speedup: {speedup:.2f}x")
+    floor_met = result["paths_per_sec"] >= SMOKE_PATHS_PER_SEC_FLOOR
 
     report = {
         "benchmark": "bench_interp",
         "meta": bench_meta(),
         "mode": mode,
         "workload": "table1 (MiniJS/Buckets) + table2 (MiniC/Collections)",
-        "interpreted": interp,
-        "compiled": comp,
-        "compiled_speedup": round(speedup, 3),
-        "fast_lane_rate": comp["fast_lane_rate"],
-        "finals_identical": identical,
+        "engine": result,
+        "fast_lane_rate": result["fast_lane_rate"],
         "gate": {
             "smoke_paths_per_sec_floor": SMOKE_PATHS_PER_SEC_FLOOR,
             "floor_met": floor_met,
@@ -181,13 +117,11 @@ def main(argv: List[str]) -> int:
     }
     atomic_write_json(OUT_PATH, report, indent=2)
     print(f"wrote {OUT_PATH}")
-    if not identical:
-        return 1
     if gate and not floor_met:
         print(
-            f"bench-gate: compiled smoke throughput "
-            f"{comp['paths_per_sec']:.1f} paths/sec is below the recorded "
-            f"floor {SMOKE_PATHS_PER_SEC_FLOOR:.1f}"
+            f"bench-gate: smoke throughput {result['paths_per_sec']:.1f} "
+            f"paths/sec is below the recorded floor "
+            f"{SMOKE_PATHS_PER_SEC_FLOOR:.1f}"
         )
         return 1
     return 0

@@ -12,6 +12,7 @@ file format).
 from __future__ import annotations
 
 import os
+import platform
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -55,10 +56,14 @@ def git_revision() -> str:
 
 
 def bench_meta() -> Dict[str, object]:
-    """The provenance block shared by every ``BENCH_*.json`` report."""
+    """The provenance block shared by every ``BENCH_*.json`` report:
+    the code revision plus the host that produced the numbers."""
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
         "git_revision": git_revision(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
     }
 
 

@@ -19,16 +19,17 @@ The driver is a thin scheduler composed from three pluggable layers:
   from the attached solver); when absent or subscriber-less the loop
   pays one falsy check per step.
 
-Stepping goes through the compiled pipeline (:mod:`repro.gil.compile`)
-whenever ``config.compiled`` is on and the state model is one the
-compiler covers; anything else — custom state models, the ablation
-configuration — falls back to the tree-walking interpreter
-:func:`repro.gil.semantics.step`, which doubles as the differential
-oracle for the compiled path.  The scheduler also takes a private fast
-path of its own: under plain DFS, a step with a single successor and no
-finals continues inline instead of round-tripping through the worklist
-(push/pop order, budget decisions, and eviction victims are unchanged —
-the successor would have been the next pop anyway).
+Each step is one transition of the GIL interpreter
+(:func:`repro.gil.semantics.step_command`), unless one of two shortcuts
+answers the command first: at a ``Call``, an attached summary engine
+may replay the callee (:mod:`repro.specs`); under the stock symbolic
+state model, a command whose operands are all literals may take the
+concrete fast lane (:func:`repro.gil.semantics.fast_lane`), counted in
+``ExecutionStats.fast_lane_steps``.  The scheduler also takes a private
+fast path of its own: under plain DFS, a step with a single successor
+and no finals continues inline instead of round-tripping through the
+worklist (push/pop order, budget decisions, and eviction victims are
+unchanged — the successor would have been the next pop anyway).
 
 The same scheduler drives concrete execution — a concrete state model
 simply never branches — which is what the differential conformance tests
@@ -65,15 +66,18 @@ from repro.engine.strategy import (
     StrategySpec,
     make_strategy,
 )
+from repro.gil import semantics
 from repro.gil.semantics import (
     Config,
     Final,
     OutcomeKind,
+    fetch,
     make_call_config,
-    step,
+    step_command,
 )
-from repro.gil.syntax import Prog
+from repro.gil.syntax import Call, Prog
 from repro.logic.solver import UnknownAbort
+from repro.state.symbolic import SymbolicStateModel
 
 _VANISH = OutcomeKind.VANISH
 
@@ -158,20 +162,9 @@ class Explorer:
             if injector is not None:
                 install_faults(self.sm, injector)
                 self.faults = injector
-        # Lower the program to pre-resolved step closures when the config
-        # asks for it and the state model is one the compiler covers
-        # (fault installation above happens first: compiled closures bind
-        # state-model methods, which read the injected hooks dynamically).
-        self._compiled = None
-        if getattr(self.config, "compiled", True):
-            from repro.gil.compile import compile_prog, supports
-
-            if supports(self.sm):
-                self._compiled = compile_prog(prog, self.sm)
         # Compositional execution: a summary engine intercepts Call
-        # commands in both arms (interpreter parameter / compiled
-        # attachment).  Never constructed alongside a fault injector —
-        # an injected fault could be recorded into a summary and then
+        # commands.  Never constructed alongside a fault injector — an
+        # injected fault could be recorded into a summary and then
         # replayed everywhere.
         self._summaries = None
         if getattr(self.config, "summaries", False) and self.faults is None:
@@ -180,8 +173,6 @@ class Explorer:
             self._summaries = make_summary_engine(
                 prog, self.sm, self.config, events=events
             )
-            if self._summaries is not None and self._compiled is not None:
-                self._compiled.attach_summaries(self._summaries)
 
     def run(
         self,
@@ -229,11 +220,13 @@ class Explorer:
         solver_stats = getattr(getattr(sm, "solver", None), "stats", None)
         degradation = getattr(sm, "degradation", None)
         faults = self.faults
-        compiled = self._compiled
-        compiled_step = compiled.step if compiled is not None else None
         summaries = self._summaries
         sum_counters = summaries.counters if summaries is not None else None
-        fast0 = compiled.fast_steps if compiled is not None else 0
+        # Looked up per drive (not imported by name) so a test can switch
+        # the lane off by patching the one function.
+        fast_lane = (
+            semantics.fast_lane if type(sm) is SymbolicStateModel else None
+        )
         checkpoint = self.checkpoint
         ck_every = getattr(checkpoint, "interval", 0) if checkpoint is not None else 0
         ck_next = ck_every  # first snapshot after ``interval`` commands
@@ -305,9 +298,6 @@ class Explorer:
                     # snapshot self-contained: resume = frontier + finals
                     # + stats, nothing double-counted.
                     ck_next = stats.commands_executed + ck_every
-                    if compiled is not None:
-                        stats.fast_lane_steps += compiled.fast_steps - fast0
-                        fast0 = compiled.fast_steps
                     if ss is not None:
                         self._flush_solver(stats, ss, s0)
                         s0 = (
@@ -335,10 +325,19 @@ class Explorer:
                 if faults is not None:
                     faults.on_step()
                 try:
-                    if compiled_step is not None:
-                        successors, finished = compiled_step(cfg)
-                    else:
-                        successors, finished = step(prog, sm, cfg, summaries)
+                    cmd = fetch(prog, cfg)
+                    served = None
+                    if summaries is not None and type(cmd) is Call:
+                        served = summaries.try_call(
+                            cfg.state, cfg.stack, cfg.idx, cmd
+                        )
+                    if served is None and fast_lane is not None:
+                        served = fast_lane(prog, cfg, cmd)
+                        if served is not None:
+                            stats.fast_lane_steps += 1
+                    if served is None:
+                        served = step_command(prog, sm, cfg, cmd)
+                    successors, finished = served
                 except UnknownAbort:
                     stats.commands_executed += 1
                     stats.paths_dropped += 1 + len(strategy)
@@ -372,8 +371,6 @@ class Explorer:
                 for succ in successors:
                     strategy.push((succ, depth + 1))
         finally:
-            if compiled is not None:
-                stats.fast_lane_steps += compiled.fast_steps - fast0
             if ss is not None:
                 self._flush_solver(stats, ss, s0)
             if degradation is not None:

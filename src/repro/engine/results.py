@@ -162,10 +162,11 @@ class ExecutionStats:
     """Counters for one engine run; the benchmark tables report these."""
 
     commands_executed: int = 0
-    #: commands that executed through the compiled concrete fast lane
-    #: (every program variable the command reads holds a literal; see
-    #: :mod:`repro.gil.compile`) — a subset of ``commands_executed``.
-    #: Zero under the tree-walking interpreter
+    #: commands that executed through the concrete fast lane (every
+    #: program variable the command reads holds a literal; see
+    #: :func:`repro.gil.semantics.fast_lane`) — a subset of
+    #: ``commands_executed``.  Zero unless the state model is the stock
+    #: symbolic one
     fast_lane_steps: int = 0
     paths_finished: int = 0
     paths_vanished: int = 0

@@ -10,15 +10,19 @@ Transitions relate *configurations* ``⟨σ, cs, i⟩`` and produce *outcomes*:
 continuation (more configurations), return ``N(v)``, or error ``E(v)``.
 A ``vanish`` yields a :data:`VANISH` final so explorers can report dropped
 paths.
+
+:func:`fast_lane` is the one shortcut: the explorer tries it before
+:func:`step_command`, evaluating a command over literal operands
+concretely instead of symbolically, with the same outcome.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
-from repro.gil.ops import EvalError
+from repro.gil.ops import EvalError, evaluate
 from repro.gil.syntax import (
     ActionCall,
     Assignment,
@@ -33,7 +37,7 @@ from repro.gil.syntax import (
     USym,
     Vanish,
 )
-from repro.logic.expr import Lit
+from repro.logic.expr import Expr, Lit, LVar, PVar, walk
 from repro.state.interface import StateErr, StateOk
 
 
@@ -110,31 +114,115 @@ def make_call_config(
     return initial_config(state, proc_name)
 
 
-def step(
-    prog: Prog, sm, cfg: Config, summaries=None
-) -> Tuple[List[Config], List[Final]]:
-    """One transition of Figure 1: successor configurations and finals.
-
-    ``summaries`` is an optional :class:`repro.specs.engine.SummaryEngine`;
-    when present, ``Call`` commands are first offered to it (replay from a
-    recorded summary) and fall back to inline descent when it answers
-    ``None``.
-    """
+def fetch(prog: Prog, cfg: Config) -> Command:
+    """``cmd(p, cs, i)``: the command a configuration points at."""
     proc = prog.get(cfg.proc)
     if proc is None:
         raise GilRuntimeError(f"unknown procedure {cfg.proc!r}")
     if not 0 <= cfg.idx < len(proc.body):
         raise GilRuntimeError(f"{cfg.proc}: no command at index {cfg.idx}")
-    cmd = proc.body[cfg.idx]
-    if summaries is not None and isinstance(cmd, Call):
-        served = summaries.try_call(cfg.state, cfg.stack, cfg.idx, cmd)
-        if served is not None:
-            return served
+    return proc.body[cfg.idx]
+
+
+def step(prog: Prog, sm, cfg: Config) -> Tuple[List[Config], List[Final]]:
+    """One transition of Figure 1: successor configurations and finals."""
+    return step_command(prog, sm, cfg, fetch(prog, cfg))
+
+
+def step_command(
+    prog: Prog, sm, cfg: Config, cmd: Command
+) -> Tuple[List[Config], List[Final]]:
+    """:func:`step` for an already-fetched ``cmd`` (the command at ``cfg``)."""
     try:
         return _step_command(prog, sm, cfg, cmd)
     except EvalError as exc:
         # An ill-typed concrete evaluation is a TL runtime error.
         return [], [Final(cfg.state, OutcomeKind.ERROR, f"eval-error: {exc}")]
+
+
+def _operand_reads(e) -> Optional[Tuple[str, ...]]:
+    """The program variables ``e`` reads, or None when it can never
+    evaluate concretely (not an expression, or it mentions a logical
+    variable)."""
+    if not isinstance(e, Expr):
+        return None
+    names: Tuple[str, ...] = ()
+    for node in walk(e):
+        if type(node) is LVar:
+            return None
+        if type(node) is PVar and node.name not in names:
+            names += (node.name,)
+    return names
+
+
+def fast_lane(prog: Prog, cfg: Config, cmd: Command):
+    """:func:`step_command` under the stock symbolic state model for a
+    command whose operands read only literal-bound program variables,
+    evaluated concretely (:func:`repro.gil.ops.evaluate`, results
+    wrapped back in ``Lit``) without touching :mod:`repro.logic`; or
+    None to decline.
+
+    Covers assignment, return and fail; ``if-goto`` when the guard is
+    exactly True or False (what ``branch_on`` does with a literal); and
+    a call to a literal procedure name that exists with matching arity.
+    Declines a logical variable in an operand, a non-literal store value,
+    and an :class:`EvalError` (where the symbolic evaluator would leave
+    the expression stuck instead).
+    """
+    kind = type(cmd)
+    if kind is Assignment or kind is Return or kind is Fail:
+        operands = (cmd.expr,)
+    elif kind is IfGoto:
+        operands = (cmd.condition,)
+    elif kind is Call:
+        callee = cmd.callee
+        if not (isinstance(callee, Lit) and isinstance(callee.value, str)):
+            return None
+        proc = prog.get(callee.value)
+        if proc is None or len(proc.params) != len(cmd.args):
+            return None
+        operands = cmd.args
+    else:
+        return None
+    state = cfg.state
+    store = state.store
+    env = {}
+    for e in operands:
+        names = _operand_reads(e)
+        if names is None:
+            return None
+        for name in names:
+            v = store.get(name)
+            if type(v) is not Lit:
+                return None
+            env[name] = v.value
+    try:
+        values = [evaluate(e, env) for e in operands]
+    except EvalError:
+        return None
+    stack, idx = cfg.stack, cfg.idx
+
+    if kind is Assignment:
+        new_state = state.bind(cmd.target, Lit(values[0]))
+        return (Config(new_state, stack, idx + 1),), ()
+    if kind is IfGoto:
+        if values[0] is True:
+            return (Config(state, stack, cmd.target),), ()
+        if values[0] is False:
+            return (Config(state, stack, idx + 1),), ()
+        return None
+    if kind is Return:
+        top = stack[-1]
+        if type(top) is TopFrame:
+            return (), (Final(state, OutcomeKind.NORMAL, Lit(values[0])),)
+        caller = dict(top.saved_store)
+        caller[top.ret_var] = Lit(values[0])
+        return (Config(state.with_store(caller), stack[:-1], top.ret_idx),), ()
+    if kind is Fail:
+        return (), (Final(state, OutcomeKind.ERROR, Lit(values[0])),)
+    callee_store = {p: Lit(v) for p, v in zip(proc.params, values)}
+    frame = InnerFrame(callee.value, cmd.target, tuple(store.items()), idx + 1)
+    return (Config(state.with_store(callee_store), stack + (frame,), 0),), ()
 
 
 def _step_command(

@@ -237,23 +237,24 @@ class SolverContext:
     #: cache so re-checks of the same prefix report the same provenance
     timed_out: bool = False
 
-_INF = Fraction(10**12)  # pseudo-infinity for interval endpoints
-
-
 @dataclass
 class _Interval:
-    lo: Fraction = -_INF
-    hi: Fraction = _INF
+    """Bounds on one atom; a ``None`` endpoint is unbounded (−∞ / +∞)."""
+
+    lo: Optional[Fraction] = None
+    hi: Optional[Fraction] = None
     lo_strict: bool = False
     hi_strict: bool = False
 
     def empty(self) -> bool:
+        if self.lo is None or self.hi is None:
+            return False
         if self.lo > self.hi:
             return True
         return self.lo == self.hi and (self.lo_strict or self.hi_strict)
 
     def tighten_lo(self, x: Fraction, strict: bool = False) -> bool:
-        if x > self.lo:
+        if self.lo is None or x > self.lo:
             self.lo, self.lo_strict = x, strict
             return True
         if x == self.lo and strict and not self.lo_strict:
@@ -262,7 +263,7 @@ class _Interval:
         return False
 
     def tighten_hi(self, x: Fraction, strict: bool = False) -> bool:
-        if x < self.hi:
+        if self.hi is None or x < self.hi:
             self.hi, self.hi_strict = x, strict
             return True
         if x == self.hi and strict and not self.hi_strict:
@@ -1303,7 +1304,7 @@ class Solver:
     def _tighten_integral(iv: _Interval) -> bool:
         """Round an integral atom's bounds inward; strict becomes closed."""
         changed = False
-        if iv.lo > -_INF:
+        if iv.lo is not None:
             new_lo = _ceil(iv.lo)
             if iv.lo_strict and new_lo == iv.lo:
                 new_lo += 1
@@ -1311,7 +1312,7 @@ class Solver:
                 if Fraction(new_lo) != iv.lo or iv.lo_strict:
                     iv.lo, iv.lo_strict = Fraction(new_lo), False
                     changed = True
-        if iv.hi < _INF:
+        if iv.hi is not None:
             new_hi = _floor(iv.hi)
             if iv.hi_strict and Fraction(new_hi) == iv.hi:
                 new_hi -= 1
@@ -1350,7 +1351,7 @@ class Solver:
             excluded.setdefault(atom, set()).add(value)
         for atom in integral:
             iv = intervals.get(atom)
-            if iv is None or iv.lo <= -_INF or iv.hi >= _INF:
+            if iv is None or iv.lo is None or iv.hi is None:
                 continue
             lo, hi = _ceil(iv.lo), _floor(iv.hi)
             if hi - lo > 64:
@@ -1382,7 +1383,13 @@ class Solver:
             determinate = True
             for atom, c in coefs.items():
                 iv = intervals.get(atom)
-                if iv is None or iv.lo != iv.hi or iv.lo_strict or iv.hi_strict:
+                if (
+                    iv is None
+                    or iv.lo is None
+                    or iv.lo != iv.hi
+                    or iv.lo_strict
+                    or iv.hi_strict
+                ):
                     determinate = False
                     break
                 lo += c * iv.lo
@@ -1522,38 +1529,48 @@ class Solver:
                     return None
             for coefs, op, rhs in constraints:
                 for target, ct in coefs.items():
-                    # ct * target ⋈ rhs - Σ_{a≠target} ca * a
-                    residual_lo = rhs
-                    residual_hi = rhs
-                    feasible = True
+                    # ct * target ⋈ rhs - Σ_{a≠target} ca * a.  Each
+                    # residual is None (unbounded) once a bound it needs
+                    # is infinite: residual_hi takes the other atoms'
+                    # lower bounds (upper ones for ca < 0), residual_lo
+                    # the opposite ones.
+                    residual_lo: Optional[Fraction] = rhs
+                    residual_hi: Optional[Fraction] = rhs
                     for a, ca in coefs.items():
                         if a is target:
                             continue
                         iv = intervals[a]
-                        lo_term = ca * (iv.lo if ca > 0 else iv.hi)
-                        hi_term = ca * (iv.hi if ca > 0 else iv.lo)
-                        residual_lo -= hi_term
-                        residual_hi -= lo_term
-                        if abs(residual_lo) > _INF or abs(residual_hi) > _INF:
-                            feasible = False
+                        lo_end, hi_end = (iv.lo, iv.hi) if ca > 0 else (iv.hi, iv.lo)
+                        if residual_hi is not None:
+                            residual_hi = (
+                                None if lo_end is None else residual_hi - ca * lo_end
+                            )
+                        if residual_lo is not None:
+                            residual_lo = (
+                                None if hi_end is None else residual_lo - ca * hi_end
+                            )
+                        if residual_lo is None and residual_hi is None:
                             break
-                    if not feasible:
-                        continue
                     iv = intervals[target]
                     if op in ("<=", "<"):
                         # ct * target <= residual_hi
-                        strict = op == "<"
-                        if ct > 0:
-                            changed |= iv.tighten_hi(residual_hi / ct, strict)
-                        else:
-                            changed |= iv.tighten_lo(residual_hi / ct, strict)
+                        if residual_hi is not None:
+                            strict = op == "<"
+                            if ct > 0:
+                                changed |= iv.tighten_hi(residual_hi / ct, strict)
+                            else:
+                                changed |= iv.tighten_lo(residual_hi / ct, strict)
                     elif op == "==":
-                        if ct > 0:
-                            changed |= iv.tighten_hi(residual_hi / ct)
-                            changed |= iv.tighten_lo(residual_lo / ct)
-                        else:
-                            changed |= iv.tighten_lo(residual_hi / ct)
-                            changed |= iv.tighten_hi(residual_lo / ct)
+                        if residual_hi is not None:
+                            if ct > 0:
+                                changed |= iv.tighten_hi(residual_hi / ct)
+                            else:
+                                changed |= iv.tighten_lo(residual_hi / ct)
+                        if residual_lo is not None:
+                            if ct > 0:
+                                changed |= iv.tighten_lo(residual_lo / ct)
+                            else:
+                                changed |= iv.tighten_hi(residual_lo / ct)
                     if iv.empty():
                         return None
             if not changed:
@@ -1697,19 +1714,23 @@ class Solver:
         if vtype in (None, GilType.NUMBER):
             nums: List[Value] = []
             if iv is not None:
-                lo_int = _ceil(iv.lo) if iv.lo > -_INF else None
-                hi_int = _floor(iv.hi) if iv.hi < _INF else None
+                lo_int = _ceil(iv.lo) if iv.lo is not None else None
+                hi_int = _floor(iv.hi) if iv.hi is not None else None
                 if lo_int is not None:
                     nums.extend([lo_int, lo_int + 1, lo_int + 2])
                 if hi_int is not None:
                     nums.extend([hi_int, hi_int - 1])
                 if lo_int is not None and hi_int is not None and lo_int <= hi_int:
                     nums.append((lo_int + hi_int) // 2)
-                if not iv.empty() and iv.lo <= 0 <= iv.hi:
+                if (
+                    not iv.empty()
+                    and (iv.lo is None or iv.lo <= 0)
+                    and (iv.hi is None or 0 <= iv.hi)
+                ):
                     nums.append(0)
                 # Open/real intervals may exclude every integer: offer the
                 # exact midpoint too (e.g. 0 < x < 1 → 1/2).
-                if iv.lo > -_INF and iv.hi < _INF and iv.lo < iv.hi:
+                if iv.lo is not None and iv.hi is not None and iv.lo < iv.hi:
                     mid = (iv.lo + iv.hi) / 2
                     nums.append(mid)
             else:

@@ -109,9 +109,7 @@ class ContentStore:
 class GilStore(ContentStore):
     """The compiled-GIL cache: ``JobSpec.source_key()`` → pickled Prog.
 
-    Compiled step closures do not pickle, but ``Prog.__reduce__`` strips
-    them, so a cached program rebuilds its tables lazily on first use —
-    the cache saves the parse/compile front end, which dominates for
+    The cache saves the parse/compile front end, which dominates for
     small programs resubmitted in bursts.
     """
 

@@ -1,9 +1,8 @@
-"""The summary engine: call-site interception for both execution arms.
+"""The summary engine: call-site interception for the explorer.
 
-Both steppers — the tree-walking interpreter
-(:func:`repro.gil.semantics.step`) and the compiled pipeline
-(:meth:`repro.gil.compile.CompiledProg.step`) — consult an attached
-:class:`SummaryEngine` when the current command is a ``Call``.
+The explorer's drive loop (:class:`repro.engine.explorer.Explorer`)
+consults an attached :class:`SummaryEngine` when the current command is
+a ``Call``, before the concrete fast lane and the interpreter.
 :meth:`SummaryEngine.try_call` answers with the call's successor
 configurations and finals (a *replay*), or ``None`` to fall back to
 ordinary inline descent.
@@ -15,8 +14,8 @@ each recorded path's delta is re-checked against the *caller's* π
 (batched, through the state model's UNKNOWN policy, exactly like
 ``branch_on``), so the feasible subset replayed equals the subset
 inline execution would have kept.  The differential fuzz arm asserts
-the resulting finals multiset is identical summaries-on vs -off across
-both arms and all worker counts.
+the resulting finals multiset is identical summaries-on vs -off with
+the fast lane on and off and at all worker counts.
 
 Safety gates: summaries require the stock symbolic state model, and an
 explorer with an installed fault injector never constructs an engine —
@@ -51,9 +50,6 @@ from repro.specs.summary import (
     static_callee,
 )
 from repro.state.symbolic import SymbolicState
-
-_NO_CONFIGS: tuple = ()
-_NO_FINALS: tuple = ()
 
 
 @dataclass
@@ -208,8 +204,6 @@ class SummaryEngine:
         )
         explorer = Explorer(self.prog, self.sm, cfg)
         explorer._summaries = self
-        if explorer._compiled is not None:
-            explorer._compiled.attach_summaries(self)
         return explorer
 
     def _summarize(
@@ -374,8 +368,8 @@ class SummaryEngine:
 def make_summary_engine(prog: Prog, sm, config, events=None) -> Optional[SummaryEngine]:
     """A :class:`SummaryEngine` for ``sm``, or None when unsupported.
 
-    Summaries cover exactly the stock symbolic state model (mirroring
-    :func:`repro.gil.compile.supports`): subclasses may override proper
+    Summaries cover exactly the stock symbolic state model (the same
+    gate as the concrete fast lane): subclasses may override proper
     actions in ways a recorded summary would bypass, and concrete runs
     never branch, so inline execution is already optimal there.
     """

@@ -7,7 +7,7 @@ Two generators live here, both deterministic per seed:
   small While-memory GIL programs with interpreted-symbol inputs,
   bounded arithmetic, forward branches, bounded loops and object
   lifecycle actions, used by the concrete-vs-symbolic /
-  parallel-vs-sequential / compiled-vs-interpreted / fault-recovery
+  parallel-vs-sequential / fast-lane on-vs-off / fault-recovery
   arms in ``tests/engine/test_fuzz_differential.py``.
 
 * :class:`CrossProgram` / :func:`generate_cross_program` — the

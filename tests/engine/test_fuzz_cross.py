@@ -12,10 +12,9 @@ MiniWhile, MiniJS, MiniC and MiniRust sources with equivalent semantics
   instantiation against the other three;
 * **across worker counts** — for every target, the symbolic finals at
   ``workers=2`` and ``workers=4`` must equal the sequential run's;
-* **across execution arms** — compiled step closures vs the
-  tree-walking interpreter, and a seeded transient fault plan
-  (worker kills + injected action errors) that must recover to the
-  fault-free finals, per target.
+* **across engine paths** — the concrete fast lane on vs off, and a
+  seeded transient fault plan (worker kills + injected action errors)
+  that must recover to the fault-free finals, per target.
 
 Every failure message carries the seed and a one-liner that reprints
 the offending lowering, so failures reproduce from the terminal.
@@ -41,8 +40,6 @@ from repro.testing.genprog import (
 )
 
 LANGS = cross_languages()
-
-INTERP_CONFIG = dataclasses.replace(CONFIG, compiled=False)
 
 #: fault shapes whose recovery must be exact (no solver timeouts)
 EXACT_FAULT_KINDS = ("kill-raise", "kill-exit", "action")
@@ -114,15 +111,13 @@ class TestPerTargetEngineArms:
 
     @pytest.mark.parametrize("seed", CROSS_QUICK_SEEDS)
     @pytest.mark.parametrize("target", CROSS_TARGETS)
-    def test_compiled_vs_interpreted(self, seed, target):
+    def test_fast_lane_on_vs_off(self, seed, target, fast_lane_pair):
         cp, progs = _compiled(seed)
-        compiled = _sequential(target, progs[target], CONFIG)
-        interp = _sequential(target, progs[target], INTERP_CONFIG)
-        assert interp.stats.fast_lane_steps == 0
-        assert _finals(compiled) == _finals(interp), (
-            f"seed {seed} [{target}]: compiled finals differ from "
-            f"interpreted\nreproduce: {cp.repro(target)}"
+        on, _ = fast_lane_pair(
+            lambda: _sequential(target, progs[target]),
+            f"seed {seed} [{target}]\nreproduce: {cp.repro(target)}",
         )
+        assert on.stats.fast_lane_steps > 0
 
     @pytest.mark.parametrize("seed", CROSS_QUICK_SEEDS)
     @pytest.mark.parametrize("target", CROSS_TARGETS)

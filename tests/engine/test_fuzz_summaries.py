@@ -7,10 +7,11 @@ helpers that allocate and mutate objects, a ``main`` mixing repeated
 calls between ordinary statements — and every seed is cross-checked:
 
 * **summaries-on vs -off** — the multiset of finals must be identical
-  with ``summaries=True`` under both execution arms (compiled and
-  interpreted) and under ``workers=2``: replaying a recorded summary at
-  a call site must be observationally equal to inline descent
-  (``docs/summaries.md`` §replay soundness);
+  with ``summaries=True``, with the concrete fast lane on and off, and
+  under ``workers=2``: replaying a recorded summary at a call site must
+  be observationally equal to inline descent (``docs/summaries.md``
+  §replay soundness), and the fast lane, which runs only after the
+  summary engine declines a call, must change no counter but its own;
 * **engagement** — across the corpus, summaries must actually fire
   (cached-call replays, not silent inline fallback), so the equality
   above tests the replay path rather than an idle engine;
@@ -61,29 +62,29 @@ def _run(prog, config, workers=1):
     ).run("main")
 
 
-def assert_summaries_match(seed: int) -> int:
-    """On/off equality across both arms; returns the replay count."""
+def assert_summaries_match(seed: int, fast_lane_pair) -> tuple:
+    """On/off equality with the fast lane on and off; returns the
+    replay count and the fast-lane steps of the lane-on run."""
     prog = generate_call_program(seed)
     base = _run(prog, CONFIG)
     assert base.stats.stop_reason == "exhausted", (
         f"seed {seed}: baseline not exhaustive "
         f"({base.stats.stop_reason}); shrink the generator"
     )
-    expected = _finals_multiset(base)
-    replays = 0
-    for compiled in (True, False):
-        config = dataclasses.replace(SUMMARY_CONFIG, compiled=compiled)
-        result = _run(prog, config)
-        arm = "compiled" if compiled else "interpreted"
-        assert result.stats.stop_reason == "exhausted", (
-            f"seed {seed}: summaries-on ({arm}) not exhaustive"
-        )
-        assert _finals_multiset(result) == expected, (
-            f"seed {seed}: summaries-on finals differ ({arm} arm)\n"
-            f"program:\n{prog!r}"
-        )
-        replays += result.stats.summary_replays
-    return replays
+    on, off = fast_lane_pair(
+        lambda: _run(prog, SUMMARY_CONFIG),
+        f"seed {seed}: summaries on\nprogram:\n{prog!r}",
+    )
+    assert on.stats.stop_reason == "exhausted", (
+        f"seed {seed}: summaries-on not exhaustive"
+    )
+    assert _finals_multiset(on) == _finals_multiset(base), (
+        f"seed {seed}: summaries-on finals differ\nprogram:\n{prog!r}"
+    )
+    return (
+        on.stats.summary_replays + off.stats.summary_replays,
+        on.stats.fast_lane_steps,
+    )
 
 
 def assert_parallel_matches(seed: int) -> None:
@@ -116,16 +117,19 @@ def assert_incorrectness_narrows(seed: int) -> None:
 
 
 class TestSummariesFuzz:
-    def test_on_off_equality_and_engagement(self):
-        total_replays = 0
+    def test_on_off_equality_and_engagement(self, fast_lane_pair):
+        total_replays = total_fast = 0
         for seed in QUICK_SEEDS:
-            total_replays += assert_summaries_match(seed)
-        # The corpus as a whole must exercise replay, or the equality
-        # checks above were vacuous.
+            replays, fast = assert_summaries_match(seed, fast_lane_pair)
+            total_replays += replays
+            total_fast += fast
+        # The corpus as a whole must exercise replay and the fast lane,
+        # or the equality checks above were vacuous.
         assert total_replays > len(list(QUICK_SEEDS)), (
             f"only {total_replays} replays across the corpus — "
             f"the generator stopped producing summarisable calls"
         )
+        assert total_fast > 0
 
     @pytest.mark.parametrize("seed", list(QUICK_SEEDS)[::10])
     def test_parallel_matches(self, seed):
@@ -141,8 +145,8 @@ class TestSummariesFuzzLong:
     """The soak ranges (``make fuzz-summaries`` / ``pytest -m slow``)."""
 
     @pytest.mark.parametrize("seed", LONG_SEEDS)
-    def test_on_off_equality(self, seed):
-        assert_summaries_match(seed)
+    def test_on_off_equality(self, seed, fast_lane_pair):
+        assert_summaries_match(seed, fast_lane_pair)
 
     @pytest.mark.parametrize("seed", list(LONG_SEEDS)[::16])
     def test_parallel_matches(self, seed):

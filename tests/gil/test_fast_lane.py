@@ -1,9 +1,10 @@
-"""Concrete fast lane vs the symbolic evaluator on operator edge cases.
+"""The concrete fast lane: its gate, and its agreement with the symbolic
+evaluator on operator edge cases.
 
-The compiled pipeline's fast lane (:mod:`repro.gil.compile`) executes a
-command through the concrete evaluator (:func:`repro.gil.ops.evaluate`)
-whenever every program variable it reads holds a literal, skipping
-``logic/`` entirely.  That is only sound under a one-directional
+The fast lane (:func:`repro.gil.semantics.fast_lane`) executes a command
+through the concrete evaluator (:func:`repro.gil.ops.evaluate`) whenever
+every program variable it reads holds a literal, skipping ``logic/``
+entirely.  That is only sound under a one-directional
 contract with the symbolic route (simplify ∘ substitute, what the
 interpreter's ``eval_expr`` computes on the same literal store): when
 the concrete evaluator *succeeds*, the symbolic route must produce the
@@ -20,25 +21,33 @@ answer ships either way.  The awkward corners exercised:
   does, booleans are not numbers, ``10 == 10.0`` holds).
 
 Every case is checked twice: at the expression level (``evaluate`` vs
-simplified substitution) and end-to-end (a compiled symbolic run whose
-store is all literals — so the fast lane fires — against the
-tree-walking interpreter, finals compared exactly).
+simplified substitution) and end-to-end (a symbolic run whose store is
+all literals — so the fast lane fires — against the same run with the
+lane switched off, finals compared exactly).
 """
-
-import dataclasses
 
 import pytest
 
 from repro.engine.config import EngineConfig
 from repro.engine.explorer import Explorer
-from repro.engine.results import final_sort_key
 from repro.gil.ops import EvalError, evaluate
-from repro.gil.syntax import Assignment, Proc, Prog, Return
+from repro.gil.semantics import Config, TopFrame, fast_lane
+from repro.gil.syntax import (
+    Assignment,
+    Call,
+    Fail,
+    Goto,
+    IfGoto,
+    Proc,
+    Prog,
+    Return,
+)
 from repro.logic.expr import (
     BinOp,
     BinOpExpr,
     Expr,
     Lit,
+    LVar,
     PVar,
     substitute_pvars,
 )
@@ -46,13 +55,10 @@ from repro.logic.simplify import Simplifier
 from repro.state.symbolic import SymbolicStateModel
 from repro.targets.while_lang.memory import WhileSymbolicMemory
 
-COMPILED = EngineConfig()
-INTERP = dataclasses.replace(COMPILED, compiled=False)
+CONFIG = EngineConfig()
 
 #: the literal store every case runs under — one binding per type so
-#: expressions can read variables instead of folding to constants at
-#: compile time (a PVar-free expression never exercises the fast lane's
-#: runtime evaluator)
+#: expressions read variables rather than being all constants
 STORE = {
     "n": Lit(10),
     "z": Lit(0),
@@ -147,32 +153,84 @@ def edge_prog(expr: Expr) -> Prog:
     return prog
 
 
-def run(prog: Prog, config: EngineConfig):
+def run(prog: Prog):
     return Explorer(
-        prog, SymbolicStateModel(WhileSymbolicMemory()), config
+        prog, SymbolicStateModel(WhileSymbolicMemory()), CONFIG
     ).run("main")
 
 
 class TestFastLaneEndToEnd:
-    """Whole-program level: compiled (fast lane firing) vs interpreter."""
+    """Whole-program level: fast lane on (firing) vs off."""
 
     @pytest.mark.parametrize(
         "label,expr", EDGE_CASES, ids=[c[0] for c in EDGE_CASES]
     )
-    def test_compiled_matches_interpreted(self, label, expr):
-        prog = edge_prog(expr)
-        compiled = run(prog, COMPILED)
-        interp = run(prog, INTERP)
-        assert sorted(final_sort_key(x) for x in compiled.finals) == sorted(
-            final_sort_key(x) for x in interp.finals
-        ), f"{label}: compiled finals differ"
-        assert compiled.stats.commands_executed == interp.stats.commands_executed
-        assert interp.stats.fast_lane_steps == 0
+    def test_on_matches_off(self, label, expr, fast_lane_pair):
+        on, _ = fast_lane_pair(lambda: run(edge_prog(expr)), label)
+        assert on.stats.fast_lane_steps > 0
 
-    def test_fast_lane_actually_fires(self):
-        # The store is all literals, so the compiled run must take the
-        # fast lane for the assignments feeding it (erroring expressions
-        # bail to the slow path, which is the designed behaviour).
-        prog = edge_prog(n.leq(Lit(10.0)))
-        compiled = run(prog, COMPILED)
-        assert compiled.stats.fast_lane_steps > 0
+    def test_fast_lane_takes_every_literal_step(self):
+        # Six literal bindings, the computed assignment and the return:
+        # a non-erroring expression keeps every step on the lane.
+        result = run(edge_prog(n.leq(Lit(10.0))))
+        assert result.stats.fast_lane_steps == len(STORE) + 2
+        assert result.stats.commands_executed == len(STORE) + 2
+
+
+#: ``f(a, b)`` for the call cases
+LANE_PROG = Prog({
+    "f": Proc("f", ("a", "b"), (Return(PVar("a")),)),
+    "main": Proc("main", (), (Return(Lit(0)),)),
+})
+LITERAL = {"x": Lit(4), "y": Lit(True)}
+SYMBOLIC = {"x": LVar("v"), "y": Lit(True)}
+
+
+def lane(cmd, store=LITERAL):
+    """``fast_lane`` on ``cmd`` in ``main`` over a symbolic ``store``."""
+    state = SymbolicStateModel(WhileSymbolicMemory()).initial_state()
+    cfg = Config(state.with_store(store), (TopFrame("main"),), 0)
+    return fast_lane(LANE_PROG, cfg, cmd)
+
+
+#: (label, store, command) the lane must decline
+DECLINED = [
+    ("symbolic-store-value", SYMBOLIC, Assignment("z", PVar("x") + Lit(1))),
+    # ``y or ...`` would short-circuit concretely, but the gate probes
+    # every variable an operand mentions
+    ("unread-symbolic-operand", SYMBOLIC,
+     Assignment("z", PVar("y").or_(PVar("x").lt(Lit(1))))),
+    ("logical-variable", LITERAL, Assignment("z", PVar("x") + LVar("v"))),
+    ("unbound-variable", LITERAL, Assignment("z", PVar("missing"))),
+    ("eval-error", LITERAL, Assignment("z", _div(PVar("x"), Lit(0)))),
+    ("non-boolean-guard", LITERAL, IfGoto(PVar("x"), 9)),
+    ("unknown-procedure", LITERAL, Call("r", Lit("g"), (PVar("x"), Lit(1)))),
+    ("arity-mismatch", LITERAL, Call("r", Lit("f"), (PVar("x"),))),
+    ("non-name-callee", LITERAL, Call("r", Lit(3), (PVar("x"), Lit(1)))),
+    ("dynamic-callee", LITERAL, Call("r", PVar("x"), (PVar("x"), Lit(1)))),
+    ("uncovered-kind", LITERAL, Goto(0)),
+]
+
+
+class TestGate:
+    """The lane's gate, command by command."""
+
+    @pytest.mark.parametrize(
+        "label,store,cmd", DECLINED, ids=[c[0] for c in DECLINED]
+    )
+    def test_declines(self, label, store, cmd):
+        assert lane(cmd, store) is None
+
+    @pytest.mark.parametrize(
+        "cmd",
+        [
+            Assignment("z", PVar("x") + Lit(1)),
+            IfGoto(PVar("y"), 9),
+            Return(PVar("x")),
+            Fail(PVar("y")),
+            Call("r", Lit("f"), (PVar("x"), Lit(1))),
+        ],
+        ids=["assignment", "ifgoto", "return", "fail", "call"],
+    )
+    def test_fires_on_literal_operands(self, cmd):
+        assert lane(cmd) is not None

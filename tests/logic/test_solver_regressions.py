@@ -173,3 +173,92 @@ class TestModelCompletion:
     def test_mixed_eliminated_and_constrained(self):
         model = Solver().get_model([x.leq(x), y.eq(Lit(3))])
         assert model is not None and model["y"] == 3 and "x" in model
+
+
+#: magnitudes at, just around, and far beyond the old 10**12 interval
+#: pseudo-infinity, which answered UNSAT past it
+BIG = [10**12 - 1, 10**12, 10**12 + 1, 10**13]
+
+
+class TestUnboundedEndpoints:
+    """Interval endpoints are genuinely unbounded, not ±10**12."""
+
+    @pytest.mark.parametrize("v", BIG)
+    def test_point_value_is_sat(self, v):
+        solver = Solver()
+        assert solver.check([x.eq(Lit(v))]) is SatResult.SAT
+        assert solver.get_model([x.eq(Lit(v))])["x"] == v
+
+    @pytest.mark.parametrize("v", BIG)
+    def test_negative_point_value_is_sat(self, v):
+        assert Solver().check([x.eq(Lit(-v))]) is SatResult.SAT
+
+    @pytest.mark.parametrize("v", BIG)
+    def test_integer_strictly_above_is_sat(self, v):
+        pc = [_int(x), Lit(v).lt(x)]
+        solver = Solver()
+        assert solver.check(pc) is SatResult.SAT
+        assert solver.get_model(pc)["x"] > v
+
+    @pytest.mark.parametrize("v", BIG)
+    def test_linear_sum_reaches_the_value(self, v):
+        pc = [(x + y).eq(Lit(v)), y.eq(Lit(1))]
+        solver = Solver()
+        assert solver.check(pc) is SatResult.SAT
+        assert solver.get_model(pc)["x"] == v - 1
+
+    @pytest.mark.parametrize("v", BIG)
+    def test_empty_range_is_still_unsat(self, v):
+        assert Solver().check([Lit(v).lt(x), x.lt(Lit(v))]) is SatResult.UNSAT
+
+
+class TestOneSidedPropagation:
+    """A bound needing only one endpoint of each other atom still
+    propagates when those atoms' opposite endpoints are unbounded."""
+
+    def test_sum_upper_bound_with_nonnegative_rest(self):
+        pc = [(x + y + z).leq(Lit(10)), Lit(0).leq(y), Lit(0).leq(z), Lit(11).leq(x)]
+        assert Solver().check(pc) is SatResult.UNSAT
+
+    def test_negative_coefficients_use_upper_bounds(self):
+        pc = [(x - y - z).leq(Lit(10)), y.leq(Lit(0)), z.leq(Lit(0)), Lit(11).leq(x)]
+        assert Solver().check(pc) is SatResult.UNSAT
+
+    def test_equality_propagates_each_side_alone(self):
+        pc = [(x + y + z).eq(Lit(10)), Lit(0).leq(y), Lit(0).leq(z), Lit(11).leq(x)]
+        assert Solver().check(pc) is SatResult.UNSAT
+
+    def test_satisfiable_boundary_stays_sat(self):
+        pc = [(x + y + z).leq(Lit(10)), Lit(0).leq(y), Lit(0).leq(z), Lit(10).leq(x)]
+        assert Solver().check(pc) is SatResult.SAT
+
+    def test_guarded_assert_is_not_a_bug(self):
+        from repro.targets.while_lang import WhileLanguage
+        from repro.testing.harness import SymbolicTester
+
+        source = """proc main() {
+          x := symb_int(); y := symb_int(); z := symb_int();
+          assume(x + y + z <= 10 and 0 <= y and 0 <= z);
+          if (11 <= x) { assert(false); }
+          return 0;
+        }"""
+        result = SymbolicTester(WhileLanguage()).run_source(source, "main")
+        assert result.verdict == "bounded-verified"
+        assert result.paths == 1
+
+
+class TestUnboundedEndToEnd:
+    """A While assertion against a huge bound is a bug, not verified."""
+
+    @pytest.mark.parametrize("bound", ["2000", "2000000000000"])
+    def test_assert_below_bound_reports_bug(self, bound):
+        from repro.targets.while_lang import WhileLanguage
+        from repro.testing.harness import SymbolicTester
+
+        source = (
+            "proc main() { x := symb_int(); "
+            f"assert(x < {bound}); return 0; }}"
+        )
+        result = SymbolicTester(WhileLanguage()).run_source(source, "main")
+        assert result.verdict == "bug"
+        assert result.paths == 2

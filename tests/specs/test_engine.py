@@ -1,5 +1,5 @@
-"""Tests for the summary engine: replay equivalence across both arms,
-counters and events, recursion, incomplete-summary rejection, and the
+"""Tests for the summary engine: replay equivalence with the concrete
+fast lane on and off, counters and events, recursion, incomplete-summary rejection, and the
 construction gates (repro.specs.engine)."""
 
 import dataclasses
@@ -12,6 +12,7 @@ from repro.engine.explorer import Explorer
 from repro.engine.results import final_sort_key
 from repro.gil.syntax import (
     ActionCall,
+    Assignment,
     Call,
     Fail,
     IfGoto,
@@ -61,6 +62,14 @@ def digest(result):
     return sorted(final_sort_key(f) for f in result.finals)
 
 
+def assert_fast_lane_agrees(prog, fast_lane_pair):
+    """Summaries on, fast lane on vs off: same finals and counters, with
+    replay engaged and the lane firing."""
+    on, _ = fast_lane_pair(lambda: run(prog, summaries=True))
+    assert on.stats.summary_replays > 0
+    assert on.stats.fast_lane_steps > 0
+
+
 def run(prog, entry="main", events=None, **overrides):
     clear_summary_cache()
     cfg = EngineConfig(**overrides)
@@ -69,12 +78,14 @@ def run(prog, entry="main", events=None, **overrides):
 
 
 class TestPureTierEquivalence:
+    # the literal ``k`` gives the fast lane a step between the replays
     PROG = prog_of(
         PURE_HELPER,
         Proc("main", (), (
+            Assignment("k", Lit(1)),
             ISym("x", "s0"),
             Call("r1", Lit("helper"), (PVar("x"),)),
-            Call("r2", Lit("helper"), (PVar("x") + Lit(1),)),
+            Call("r2", Lit("helper"), (PVar("x") + PVar("k"),)),
             Return(PVar("r1") + PVar("r2")),
         )),
     )
@@ -84,13 +95,8 @@ class TestPureTierEquivalence:
         assert digest(run(self.PROG, summaries=True)) == base
         assert base  # the program actually branches
 
-    def test_both_arms_agree(self):
-        compiled = run(self.PROG, summaries=True, compiled=True)
-        interp = run(self.PROG, summaries=True, compiled=False)
-        assert digest(compiled) == digest(interp)
-        # Both arms engage summaries (not silently inline).
-        assert compiled.stats.summary_replays > 0
-        assert interp.stats.summary_replays > 0
+    def test_fast_lane_on_vs_off(self, fast_lane_pair):
+        assert_fast_lane_agrees(self.PROG, fast_lane_pair)
 
     def test_second_call_site_hits(self):
         stats = run(self.PROG, summaries=True).stats
@@ -117,24 +123,27 @@ class TestExactTierEquivalence:
         HEAP_HELPER,
         PURE_HELPER,
         Proc("main", (), (
+            Assignment("k", Lit(0)),
             ISym("x", "s0"),
             Call("o1", Lit("mk"), (PVar("x"),)),
             Call("o2", Lit("mk"), (PVar("x"),)),
             Call("y", Lit("helper"), (PVar("x"),)),
             ActionCall("v1", "lookup", lst(PVar("o1"), "p")),
             ActionCall("v2", "lookup", lst(PVar("o2"), "p")),
-            Return(PVar("v1") + PVar("v2") + PVar("y")),
+            Return(PVar("v1") + PVar("v2") + PVar("y") + PVar("k")),
         )),
     )
 
     def test_finals_identical_on_vs_off(self):
         base = digest(run(self.PROG, summaries=False))
-        for compiled in (True, False):
-            result = run(self.PROG, summaries=True, compiled=compiled)
-            assert digest(result) == base
-            assert result.stats.summary_replays > 0
+        result = run(self.PROG, summaries=True)
+        assert digest(result) == base
+        assert result.stats.summary_replays > 0
         # Error paths (mk fails on negative input) survive replay.
         assert any(kind == "ERROR" for kind, _ in base)
+
+    def test_fast_lane_on_vs_off(self, fast_lane_pair):
+        assert_fast_lane_agrees(self.PROG, fast_lane_pair)
 
     def test_exact_replay_repeats_across_runs(self):
         # Same pre-state in a fresh run -> the cache (not cleared here)

@@ -112,6 +112,20 @@ class TestBenchmarksDoc:
             "BENCH_SCHEMA_VERSION — update the doc and its history table"
         )
 
+    def test_bench_meta_stamps_the_host(self):
+        import os
+        import platform
+
+        import benchmarks.tables as tables
+
+        meta = tables.bench_meta()
+        assert meta["cpus"] == os.cpu_count()
+        assert meta["python"] == platform.python_version()
+        assert meta["platform"] == platform.platform()
+        doc = read_doc("benchmarks.md")
+        for key in ("cpus", "python", "platform"):
+            assert f"`meta.{key}`" in doc, key
+
 
 class TestReadmeCompositionExample:
     """The README memlib example must build the shipped heap model."""
